@@ -1,22 +1,21 @@
 //! Guest-execution backend benchmarks: the same suite workloads run
 //! end to end under the two-phase translator on the reference
 //! interpreter backend (`interp`, re-decoding every instruction on
-//! every execution), the pre-decoded translation cache (`cached`,
-//! micro-op buffers decoded once at translation time with direct
-//! block-to-successor chaining inside regions), and the fused cache
-//! (`cached-fused`, region bodies re-encoded as superinstructions and
-//! each region compiled to a straight-line guarded trace).
+//! every execution) and the pre-decoded translation cache (`cached`,
+//! block bodies decoded and fused into superinstructions once at
+//! translation time, each region compiled to a straight-line guarded
+//! trace).
 //!
-//! All backends produce bitwise-identical outputs, stats, and
+//! Both backends produce bitwise-identical outputs, stats, and
 //! profiles (pinned by `crates/dbt/tests/backend_differential.rs`), so
-//! any gap here is pure host-side dispatch cost. A third group shows
+//! any gap here is pure host-side dispatch cost. A second group shows
 //! what a long-lived host (the sweep orchestrator, `tpdbt-serve`)
 //! gains by sharing one `PredecodedProgram` across runs: the decode
-//! cost itself amortizes to zero. A fourth group compares synchronous
-//! region formation against `OptMode::Async` (formation and chain
-//! pre-compilation on background optimizer threads): guest output is
-//! identical, so the gap is the execution thread's share of optimizer
-//! work.
+//! and fusion cost itself amortizes to zero. A third group compares
+//! synchronous region formation against `OptMode::Async` (formation
+//! and trace compilation on background optimizer threads): guest
+//! output is identical, so the gap is the execution thread's share of
+//! optimizer work.
 //!
 //! Set `TPDBT_BENCH_JSON=path` to also write the timings as JSON
 //! (`BENCH_GUEST.json` in CI).
@@ -80,7 +79,7 @@ fn bench_shared_predecode(c: &mut Criterion) {
 }
 
 /// Synchronous versus asynchronous region formation on the cached
-/// backend. Async moves formation and chain pre-compilation off the
+/// backend. Async moves formation and trace compilation off the
 /// execution thread; both legs run the same guests to the same final
 /// state, so the delta is the dispatcher's share of optimizer work
 /// (plus install handshake overhead on these tiny workloads).

@@ -133,12 +133,11 @@ pub(crate) struct OptOutcome {
     pub probs: BTreeMap<Pc, f64>,
     /// The formed region, or `None` when formation failed.
     pub formed: Option<FormedRegion>,
-    /// Copies pre-compiled by the worker (parallel to `formed.copies`
-    /// when complete; the backend falls back to its own cache
-    /// otherwise). Fused when the run uses the cached-fused backend.
+    /// Copies resolved by the worker to the shared cache's fused
+    /// blocks (parallel to `formed.copies` when complete; the backend
+    /// falls back to its own cache otherwise). Empty under `interp`.
     pub chain: Vec<Arc<DecodedBlock>>,
-    /// The region's straight-line trace, pre-compiled by the worker
-    /// (cached-fused backend only).
+    /// The region's straight-line trace, pre-compiled by the worker.
     pub trace: Option<Arc<CompiledTrace>>,
 }
 
@@ -156,18 +155,15 @@ pub(crate) struct AsyncOpt {
 }
 
 impl AsyncOpt {
-    /// Spawns the worker pool. Workers share the program (and its
-    /// pre-decoded block cache) so they can compile region copies
-    /// off-thread; with `fuse` set (the cached-fused backend) they also
-    /// fuse each copy's body and compile the region's straight-line
-    /// trace, so installation does zero compile work on the execution
-    /// thread. The tracer, when attached, receives `opt_started` events
-    /// from worker threads directly.
+    /// Spawns the worker pool. With `compile` (the cached backend),
+    /// workers share the program and its fused block cache, resolve
+    /// each region copy to its cached block and compile the region's
+    /// straight-line trace, so installation does zero compile work on
+    /// the execution thread. The tracer, when attached, receives
+    /// `opt_started` events from worker threads directly.
     pub(crate) fn new(
         workers: usize,
-        program: Arc<Program>,
-        predecoded: Arc<PredecodedProgram>,
-        fuse: bool,
+        compile: Option<(Arc<Program>, Arc<PredecodedProgram>)>,
         tracer: Option<Arc<Tracer>>,
     ) -> AsyncOpt {
         #[cfg(not(feature = "trace"))]
@@ -180,20 +176,14 @@ impl AsyncOpt {
                 });
             }
             let formed = form_region(&job.snapshot, &job.policy, job.seed);
-            let mut chain: Vec<Arc<DecodedBlock>> = formed.as_ref().map_or_else(Vec::new, |f| {
-                f.copies
+            let (mut chain, mut trace) = (Vec::new(), None);
+            if let (Some(f), Some((program, predecoded))) = (&formed, &compile) {
+                chain = f
+                    .copies
                     .iter()
-                    .filter_map(|&pc| predecoded.block(&program, pc))
-                    .collect()
-            });
-            let mut trace = None;
-            if fuse {
-                if let Some(f) = &formed {
-                    if chain.len() == f.copies.len() {
-                        chain = chain.iter().map(|b| Arc::new(b.fused())).collect();
-                        trace = compile_trace(&f.copies, &f.edges, &chain).map(Arc::new);
-                    }
-                }
+                    .filter_map(|&pc| predecoded.block(program, pc))
+                    .collect();
+                trace = compile_trace(&f.copies, &f.edges, &chain).map(Arc::new);
             }
             OptOutcome {
                 seed: job.seed,

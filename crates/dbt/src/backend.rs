@@ -4,27 +4,22 @@
 //! The engine in [`crate::engine`] owns *when* things happen — block
 //! discovery, counter bumps, threshold registration, region formation,
 //! freezing — while an [`ExecBackend`] owns *how* a translated block's
-//! instructions execute. Three backends are provided:
+//! instructions execute. Two backends are provided:
 //!
 //! * [`InterpBackend`] — the reference backend: per-instruction
 //!   dispatch through [`tpdbt_vm::step`], exactly the execution model
 //!   the engine used before backends existed.
 //! * [`CachedBackend`] — a pre-decoded translation cache: each block
-//!   is decoded once at translation time into a
-//!   [`tpdbt_isa::DecodedBlock`] (a flat micro-op buffer plus a
-//!   pre-resolved terminator) and every later execution replays the
-//!   buffer through [`tpdbt_vm::exec_body`] / [`tpdbt_vm::exec_term`].
-//!   Optimized regions additionally get direct block-to-successor
-//!   chaining: at region-install time the copies are resolved to their
-//!   decoded bodies, so region execution never consults the per-pc
-//!   cache.
-//! * **`cached-fused`** (the cached backend with fusion enabled, see
-//!   [`CachedBackend::new_fused`]) — at region install the copies are
-//!   additionally re-encoded as [`tpdbt_isa::FusedOp`]
-//!   superinstructions and the whole region is compiled into a
-//!   straight-line [`CompiledTrace`] along its profiled edges, which
-//!   the engine executes through guard ops with side exits falling
-//!   back to per-block execution (see [`crate::trace`]).
+//!   is decoded and fused once at translation time into a
+//!   [`tpdbt_isa::DecodedBlock`] (a [`tpdbt_isa::FusedOp`]
+//!   superinstruction buffer plus a pre-resolved terminator) and every
+//!   later execution replays the buffer through
+//!   [`tpdbt_vm::exec_body`] / [`tpdbt_vm::exec_term`]. At region
+//!   install the copies are resolved to their cached bodies and the
+//!   whole region is compiled into a straight-line [`CompiledTrace`]
+//!   along its profiled edges, which the engine executes through guard
+//!   ops with side exits falling back to per-block execution (see
+//!   [`crate::trace`]).
 //!
 //! All backends drive the same execute-half semantics in `tpdbt-vm`,
 //! so architectural state, outputs, and every profile counter are
@@ -41,17 +36,17 @@ use tpdbt_vm::{exec_body, exec_term, step, Flow, Machine, VmError};
 use crate::trace::{compile_trace, CompiledTrace};
 
 /// One region's installed optimized code: the copies resolved to
-/// decoded bodies, plus — under the `cached-fused` backend — the
-/// compiled straight-line trace. Chain and trace live in the same slot
-/// so installs, re-formations, and retirements replace or clear both
-/// in a single atomic table publication: no reader can ever observe a
-/// fresh chain with a stale trace (or vice versa).
+/// decoded bodies, plus the compiled straight-line trace. Chain and
+/// trace live in the same slot so installs, re-formations, and
+/// retirements replace or clear both in a single atomic table
+/// publication: no reader can ever observe a fresh chain with a stale
+/// trace (or vice versa).
 #[derive(Clone, Debug, Default)]
 pub struct RegionCode {
-    /// Per-copy decoded bodies (fused under `cached-fused`), entry
-    /// first.
+    /// Per-copy decoded bodies (the translation cache's own `Arc`s),
+    /// entry first.
     pub chain: Vec<Arc<DecodedBlock>>,
-    /// The region's straight-line trace (`cached-fused` only).
+    /// The region's straight-line trace.
     pub trace: Option<Arc<CompiledTrace>>,
 }
 
@@ -69,8 +64,7 @@ impl RegionCode {
 pub type ChainTable = Vec<RegionCode>;
 
 /// Which execution backend runs translated code — the user-facing
-/// selection knob (`--backend {interp,cached,cached-fused}` on every
-/// binary).
+/// selection knob (`--backend {interp,cached}` on every binary).
 ///
 /// The backend never changes a run's observable results (profiles,
 /// outputs, stats, simulated cycles) — only how fast the host executes
@@ -81,25 +75,22 @@ pub type ChainTable = Vec<RegionCode>;
 pub enum Backend {
     /// Reference per-instruction interpreter dispatch.
     Interp,
-    /// Pre-decoded translation cache (the default).
+    /// Pre-decoded translation cache with superinstruction fusion and
+    /// trace-compiled regions (the default).
     #[default]
     Cached,
-    /// The translation cache plus superinstruction fusion and
-    /// trace-compiled regions.
-    CachedFused,
 }
 
 impl Backend {
     /// All backends, for test matrices.
-    pub const ALL: [Backend; 3] = [Backend::Interp, Backend::Cached, Backend::CachedFused];
+    pub const ALL: [Backend; 2] = [Backend::Interp, Backend::Cached];
 
-    /// The flag-value name (`"interp"` / `"cached"` / `"cached-fused"`).
+    /// The flag-value name (`"interp"` / `"cached"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Backend::Interp => "interp",
             Backend::Cached => "cached",
-            Backend::CachedFused => "cached-fused",
         }
     }
 }
@@ -117,9 +108,8 @@ impl std::str::FromStr for Backend {
         match s {
             "interp" => Ok(Backend::Interp),
             "cached" => Ok(Backend::Cached),
-            "cached-fused" => Ok(Backend::CachedFused),
             other => Err(format!(
-                "unknown backend '{other}' (expected 'interp', 'cached', or 'cached-fused')"
+                "unknown backend '{other}' (expected 'interp' or 'cached')"
             )),
         }
     }
@@ -166,10 +156,10 @@ pub trait ExecBackend {
     }
 
     /// Region `region` was formed on a background optimizer thread and
-    /// arrives with its copies already compiled (`chain`, parallel to
-    /// `dump.copies`) and, when the worker fuses, its trace. The
-    /// default delegates to [`ExecBackend::install_region`] — backends
-    /// without a translation cache ignore the compiled artifacts.
+    /// arrives with its copies already resolved (`chain`, parallel to
+    /// `dump.copies`) and its trace compiled. The default delegates to
+    /// [`ExecBackend::install_region`] — backends without a translation
+    /// cache ignore the compiled artifacts.
     fn install_region_compiled(
         &mut self,
         region: usize,
@@ -259,13 +249,19 @@ fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmEr
     exec_term(block.term.view(), pc, machine)
 }
 
-/// The pre-decoded translation cache (with optional superinstruction
-/// fusion).
+/// The pre-decoded translation cache with superinstruction fusion and
+/// trace-compiled regions.
 ///
-/// Blocks are decoded exactly once — at fast-translation time — into
-/// [`DecodedBlock`]s; optionally a shared [`PredecodedProgram`] makes
-/// that a once-per-*guest* cost across runs and threads (sweep ladder
-/// cells, serve queries) instead of once per run.
+/// Blocks are decoded and fused exactly once — at fast-translation
+/// time — into [`DecodedBlock`]s whose bodies are
+/// [`tpdbt_isa::FusedOp`] superinstructions, so the profiling phase
+/// already dispatches fused code (fusion is architecturally invisible,
+/// pinned by `crates/vm/tests/fusion_props.rs`). Optionally a shared
+/// [`PredecodedProgram`] makes that a once-per-*guest* cost across
+/// runs and threads (sweep ladder cells, serve queries) instead of
+/// once per run. Region installs reuse the cached `Arc`s as the chain
+/// and compile the region into a [`CompiledTrace`] published in the
+/// same slot.
 ///
 /// The region table lives behind a [`SwapCell`]: installs and
 /// retirements build a *new* table and publish it in one atomic swap,
@@ -275,12 +271,6 @@ fn run_decoded(block: &DecodedBlock, machine: &mut Machine) -> Result<Flow, VmEr
 /// observe a half-written chain, or a trace out of step with its chain
 /// — and keeps the backend `Send + Sync` clean behind the
 /// `ExecBackend` seam.
-///
-/// With fusion enabled ([`CachedBackend::new_fused`], the
-/// `cached-fused` backend), every translated block's body is re-encoded
-/// as [`tpdbt_isa::FusedOp`] superinstructions at translate time, and
-/// region installs additionally compile the region into a
-/// [`CompiledTrace`] published in the same slot.
 #[derive(Debug)]
 pub struct CachedBackend {
     /// Cross-run shared decode cache, when the driver provided one.
@@ -293,9 +283,6 @@ pub struct CachedBackend {
     /// The execution thread's snapshot of `chains` (plain `Arc` deref
     /// on the hot path; refreshed after every publish).
     view: Arc<ChainTable>,
-    /// Whether region installs fuse bodies and compile traces (the
-    /// `cached-fused` backend).
-    fuse: bool,
 }
 
 impl CachedBackend {
@@ -313,18 +300,7 @@ impl CachedBackend {
             blocks: vec![None; program_len],
             chains: SwapCell::from_arc(Arc::clone(&view)),
             view,
-            fuse: false,
         }
-    }
-
-    /// Creates the `cached-fused` variant: translated blocks run as
-    /// superinstructions from first execution, and region installs
-    /// additionally compile straight-line traces.
-    #[must_use]
-    pub fn new_fused(program_len: usize, shared: Option<Arc<PredecodedProgram>>) -> CachedBackend {
-        let mut b = CachedBackend::new(program_len, shared);
-        b.fuse = true;
-        b
     }
 
     /// Number of blocks currently in the translation cache.
@@ -341,59 +317,30 @@ impl CachedBackend {
         self.view.get(region)
     }
 
-    /// Publishes an updated region table and refreshes the local view.
-    fn publish(&mut self, table: ChainTable) {
-        let table = Arc::new(table);
-        self.chains.store(Arc::clone(&table));
-        self.view = table;
-    }
-
     /// Copy-on-write slot update: clone the current table, replace
-    /// `region`'s code, publish. Chain and trace change together —
-    /// this is the single point where optimized code becomes (or stops
-    /// being) visible.
+    /// `region`'s code, publish it and refresh the local view. Chain
+    /// and trace change together — this is the single point where
+    /// optimized code becomes (or stops being) visible.
     fn install_code(&mut self, region: usize, code: RegionCode) {
         let mut table = (*self.view).clone();
         if table.len() <= region {
             table.resize_with(region + 1, RegionCode::default);
         }
         table[region] = code;
-        self.publish(table);
-    }
-
-    /// Builds the install payload: the resolved (and, under fusion,
-    /// fused) chain plus the compiled trace.
-    fn compile_region(&self, dump: &RegionDump, chain: Vec<Arc<DecodedBlock>>) -> RegionCode {
-        if !self.fuse {
-            return RegionCode { chain, trace: None };
-        }
-        let chain: Vec<Arc<DecodedBlock>> = chain.iter().map(|b| Arc::new(b.fused())).collect();
-        let trace = compile_trace(&dump.copies, &dump.edges, &chain).map(Arc::new);
-        RegionCode { chain, trace }
+        self.view = Arc::new(table);
+        self.chains.store(Arc::clone(&self.view));
     }
 }
 
 impl ExecBackend for CachedBackend {
     fn on_translate(&mut self, program: &Program, block: &Block) {
         let pc = block.start;
-        if self.blocks[pc].is_some() {
-            return;
+        if self.blocks[pc].is_none() {
+            self.blocks[pc] = match &self.shared {
+                Some(cache) => cache.block(program, pc),
+                None => Some(Arc::new(DecodedBlock::from_block(program, block).fused())),
+            };
         }
-        let decoded = match &self.shared {
-            Some(cache) => cache.block(program, pc),
-            None => Some(Arc::new(DecodedBlock::from_block(program, block))),
-        };
-        // Under the fused backend every translated block runs as
-        // superinstructions, profiling phase included — fusion is
-        // architecturally invisible (pinned by
-        // `crates/vm/tests/fusion_props.rs`), so only dispatch cost
-        // changes. `fused()` is idempotent, so region installs that
-        // re-fuse these bodies are no-ops.
-        let decoded = match decoded {
-            Some(b) if self.fuse => Some(Arc::new(b.fused())),
-            other => other,
-        };
-        self.blocks[pc] = decoded;
     }
 
     fn install_region(&mut self, region: usize, dump: &RegionDump) {
@@ -408,8 +355,8 @@ impl ExecBackend for CachedBackend {
                 )
             })
             .collect();
-        let code = self.compile_region(dump, chain);
-        self.install_code(region, code);
+        let trace = compile_trace(&dump.copies, &dump.edges, &chain).map(Arc::new);
+        self.install_code(region, RegionCode { chain, trace });
     }
 
     fn install_region_compiled(
@@ -425,27 +372,12 @@ impl ExecBackend for CachedBackend {
             self.install_region(region, dump);
             return;
         }
-        let code = if self.fuse {
-            match trace {
-                // Worker pre-fused the chain and compiled the trace.
-                Some(trace) => RegionCode {
-                    chain,
-                    trace: Some(trace),
-                },
-                // Defensive: fuse and compile on the engine thread.
-                None => self.compile_region(dump, chain),
-            }
-        } else {
-            RegionCode { chain, trace: None }
-        };
-        self.install_code(region, code);
+        self.install_code(region, RegionCode { chain, trace });
     }
 
     fn retire_region(&mut self, region: usize) {
         if self.view.get(region).is_some_and(|c| !c.is_empty()) {
-            let mut table = (*self.view).clone();
-            table[region] = RegionCode::default();
-            self.publish(table);
+            self.install_code(region, RegionCode::default());
         }
     }
 
@@ -471,7 +403,7 @@ impl ExecBackend for CachedBackend {
             // but a standalone user of the backend may not.
             self.blocks[start] = match &self.shared {
                 Some(cache) => cache.block(program, start),
-                None => DecodedBlock::decode(program, start).map(Arc::new),
+                None => DecodedBlock::decode(program, start).map(|b| Arc::new(b.fused())),
             };
         }
         let block = self.blocks[start]
@@ -484,8 +416,7 @@ impl ExecBackend for CachedBackend {
 }
 
 /// Static dispatch over the built-in backends (keeps the engine's
-/// hot loop free of virtual calls). `cached-fused` is the cached
-/// backend with its fusion flag set.
+/// hot loop free of virtual calls).
 #[derive(Debug)]
 pub(crate) enum BackendImpl {
     Interp(InterpBackend),
@@ -501,9 +432,6 @@ impl BackendImpl {
         match backend {
             Backend::Interp => BackendImpl::Interp(InterpBackend::new()),
             Backend::Cached => BackendImpl::Cached(CachedBackend::new(program.len(), shared)),
-            Backend::CachedFused => {
-                BackendImpl::Cached(CachedBackend::new_fused(program.len(), shared))
-            }
         }
     }
 }
@@ -614,25 +542,43 @@ mod tests {
         assert_eq!(Backend::default(), Backend::Cached);
     }
 
+    /// The fused variant is the cached backend now; its old flag value
+    /// is gone, with no alias, and the error names what remains.
+    #[test]
+    fn removed_cached_fused_flag_is_rejected() {
+        let err = "cached-fused".parse::<Backend>().unwrap_err();
+        assert!(
+            err.contains("'interp'") && err.contains("'cached'"),
+            "{err}"
+        );
+    }
+
+    /// Both dispatch sites of the cached backend — the profiling
+    /// phase's cache lookup and a region copy's chain entry — compute
+    /// the interpreter's machine state and flow: fusion must be
+    /// architecturally invisible.
     #[test]
     fn both_backends_step_a_block_identically() {
         let p = sample();
-        let block = decode_block(&p, 0).unwrap();
+        let block = decode_block(&p, 1).unwrap();
         let mut interp = InterpBackend::new();
         let mut cached = CachedBackend::new(p.len(), None);
         cached.on_translate(&p, &block);
         assert_eq!(cached.cached_blocks(), 1);
+        cached.install_region(0, &loop_dump(vec![1, 1]));
 
         let mut mi = Machine::new(&p, &[]);
         let mut mc = mi.clone();
-        let fi = interp
-            .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mi)
-            .unwrap();
-        let fc = cached
-            .exec_block(&p, block.start, block.end, ExecSite::Unopt, &mut mc)
-            .unwrap();
-        assert_eq!(fi, fc);
-        assert_eq!(mi, mc, "architectural state must be bitwise identical");
+        for site in [ExecSite::Unopt, ExecSite::Region { region: 0, copy: 1 }] {
+            let fi = interp
+                .exec_block(&p, block.start, block.end, site, &mut mi)
+                .unwrap();
+            let fc = cached
+                .exec_block(&p, block.start, block.end, site, &mut mc)
+                .unwrap();
+            assert_eq!(fi, fc);
+            assert_eq!(mi, mc, "architectural state must be bitwise identical");
+        }
     }
 
     #[test]
@@ -664,60 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn region_chains_install_and_retire() {
-        let p = sample();
-        let entry = decode_block(&p, 0).unwrap();
-        let body = decode_block(&p, 1).unwrap();
-        let mut cached = CachedBackend::new(p.len(), None);
-        cached.on_translate(&p, &entry);
-        cached.on_translate(&p, &body);
-        cached.install_region(0, &loop_dump(vec![1, 1]));
-        assert_eq!(cached.view[0].chain.len(), 2);
-        assert!(cached.view[0].trace.is_none(), "plain cached never traces");
-        // Region execution uses the chain directly.
-        let mut m = Machine::new(&p, &[]);
-        let flow = cached
-            .exec_block(
-                &p,
-                body.start,
-                body.end,
-                ExecSite::Region { region: 0, copy: 1 },
-                &mut m,
-            )
-            .unwrap();
-        assert_eq!(
-            flow,
-            Flow::Jump {
-                target: 1,
-                taken: true
-            }
-        );
-        cached.retire_region(0);
-        assert!(cached.view[0].is_empty());
-        // Re-formation reinstalls.
-        cached.install_region(0, &loop_dump(vec![1]));
-        assert_eq!(cached.view[0].chain.len(), 1);
-    }
-
-    #[test]
-    fn installs_publish_new_tables_old_snapshots_survive() {
-        let p = sample();
-        let body = decode_block(&p, 1).unwrap();
-        let mut cached = CachedBackend::new(p.len(), None);
-        cached.on_translate(&p, &body);
-        cached.install_region(0, &loop_dump(vec![1]));
-        // A reader's snapshot taken before a retire keeps working.
-        let snapshot = cached.chains.load();
-        cached.retire_region(0);
-        assert_eq!(snapshot[0].chain.len(), 1, "old table untouched");
-        assert!(cached.view[0].is_empty(), "new table published");
-        assert!(
-            !Arc::ptr_eq(&snapshot, &cached.view),
-            "retire replaced the table wholesale"
-        );
-    }
-
-    #[test]
     fn compiled_install_uses_the_provided_chain() {
         let p = sample();
         let body = decode_block(&p, 1).unwrap();
@@ -744,21 +636,21 @@ mod tests {
         assert_eq!(cached.view[1].chain.len(), 1);
     }
 
-    /// The fused backend installs a fused chain *and* a trace in one
-    /// slot, and retirement / re-formation replaces both atomically —
-    /// the stale-trace regression surface.
+    /// Installs put a fused chain *and* a trace in one slot, and
+    /// retirement / re-formation replaces both atomically — the
+    /// stale-trace regression surface.
     #[test]
-    fn fused_install_compiles_trace_and_retire_drops_it_atomically() {
+    fn install_compiles_trace_and_retire_drops_it_atomically() {
         let p = sample();
         let entry = decode_block(&p, 0).unwrap();
         let body = decode_block(&p, 1).unwrap();
-        let mut fused = CachedBackend::new_fused(p.len(), None);
+        let mut fused = CachedBackend::new(p.len(), None);
         fused.on_translate(&p, &entry);
         fused.on_translate(&p, &body);
         fused.install_region(0, &loop_dump(vec![1]));
-        let trace = fused.region_trace(0).expect("fused install compiles");
+        let trace = fused.region_trace(0).expect("install compiles");
         assert_eq!(trace.starts(), vec![1]);
-        // The chain bodies were re-encoded as superinstructions.
+        // The chain bodies run as superinstructions.
         assert!(matches!(
             fused.view[0].chain[0].body,
             tpdbt_isa::BlockBody::Fused(_)
@@ -770,6 +662,7 @@ mod tests {
         fused.install_region(0, &loop_dump(vec![1, 1]));
         let reformed = fused.region_trace(0).expect("reinstalled");
         assert_eq!(reformed.starts(), vec![1, 1], "trace tracks the new shape");
+        assert_eq!(fused.view[0].chain.len(), 2);
         assert_eq!(snapshot[0].chain.len(), 1, "old snapshot untouched");
         assert_eq!(
             snapshot[0].trace.as_ref().unwrap().len(),
@@ -777,36 +670,48 @@ mod tests {
             "old snapshot keeps its matching trace"
         );
 
-        // Retirement clears both in one publication.
+        // Retirement clears both in one publication, replacing the
+        // table wholesale.
+        let before_retire = fused.chains.load();
         fused.retire_region(0);
         assert!(fused.region_trace(0).is_none(), "no stale trace");
         assert!(fused.view[0].is_empty(), "no stale chain");
+        assert_eq!(before_retire[0].chain.len(), 2, "old table untouched");
+        assert!(!Arc::ptr_eq(&before_retire, &fused.view));
+        // Re-formation after retirement reinstalls.
+        fused.install_region(0, &loop_dump(vec![1]));
+        assert_eq!(fused.view[0].chain.len(), 1);
     }
 
-    /// Fused and plain cached region execution compute the same
-    /// machine state (the backend-level slice of the differential
-    /// guarantee).
+    /// Region installs reuse the translation cache's fused bodies: the
+    /// chain holds the very same `Arc`s, nothing is cloned or re-fused.
     #[test]
-    fn fused_region_execution_matches_plain_cached() {
+    fn installed_chain_shares_the_translation_cache_blocks() {
         let p = sample();
+        let shared = Arc::new(PredecodedProgram::new(&p));
         let body = decode_block(&p, 1).unwrap();
-        let mut plain = CachedBackend::new(p.len(), None);
-        let mut fused = CachedBackend::new_fused(p.len(), None);
-        for b in [&mut plain, &mut fused] {
-            b.on_translate(&p, &body);
-            b.install_region(0, &loop_dump(vec![1]));
+        for shared in [None, Some(Arc::clone(&shared))] {
+            let mut cached = CachedBackend::new(p.len(), shared);
+            cached.on_translate(&p, &body);
+            cached.install_region(0, &loop_dump(vec![1, 1]));
+            let cache_block = cached.blocks[1].as_ref().unwrap();
+            for copy in &cached.view[0].chain {
+                assert!(Arc::ptr_eq(copy, cache_block));
+            }
         }
-        let mut mp = Machine::new(&p, &[]);
-        let mut mf = mp.clone();
-        let site = ExecSite::Region { region: 0, copy: 0 };
-        let fp = plain
-            .exec_block(&p, body.start, body.end, site, &mut mp)
-            .unwrap();
-        let ff = fused
-            .exec_block(&p, body.start, body.end, site, &mut mf)
-            .unwrap();
-        assert_eq!(fp, ff);
-        assert_eq!(mp, mf, "fusion must be architecturally invisible");
+        // An async worker resolves copies through the same shared
+        // cache, so its compiled chain is the cache's blocks too.
+        let mut cached = CachedBackend::new(p.len(), Some(Arc::clone(&shared)));
+        cached.on_translate(&p, &body);
+        let dump = loop_dump(vec![1]);
+        let chain = vec![shared.block(&p, 1).unwrap()];
+        let trace = compile_trace(&dump.copies, &dump.edges, &chain).map(Arc::new);
+        cached.install_region_compiled(0, &dump, chain, trace);
+        assert!(Arc::ptr_eq(
+            &cached.view[0].chain[0],
+            cached.blocks[1].as_ref().unwrap()
+        ));
+        assert!(cached.region_trace(0).is_some());
     }
 
     #[test]

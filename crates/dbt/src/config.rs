@@ -382,8 +382,8 @@ impl DbtConfig {
         eat(&u64::from(self.adapt.max_retirements_per_entry).to_le_bytes());
         eat(&self.interval.map_or(0, |i| i.wrapping_add(1)).to_le_bytes());
         eat(&self.fuel.to_le_bytes());
-        // `backend` is deliberately NOT hashed: all three backends
-        // (interp, cached, cached-fused) are bitwise result-identical
+        // `backend` is deliberately NOT hashed: both backends
+        // (interp, cached) are bitwise result-identical
         // by construction (pinned by the differential proptest), so
         // runs under any backend share store entries.
         //

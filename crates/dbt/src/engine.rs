@@ -269,22 +269,21 @@ impl Dbt {
     ) -> Result<RunOutcome, DbtError> {
         let wants_async =
             self.config.opt_mode == OptMode::Async && self.config.mode != ProfilingMode::NoOpt;
-        // Async workers pre-compile region copies, so they need a
-        // thread-safe decode cache; share it with the backend so
-        // neither side decodes a block twice.
-        let predecoded = match (wants_async, self.predecoded.clone()) {
+        // Async workers on the cached backend pre-compile region code,
+        // so they need a thread-safe decode cache; share it with the
+        // backend so neither side decodes a block twice.
+        let compiles_async = wants_async && self.config.backend == Backend::Cached;
+        let predecoded = match (compiles_async, self.predecoded.clone()) {
             (_, Some(shared)) if shared.len() == program.len() => Some(shared),
             (true, _) => Some(Arc::new(PredecodedProgram::new(program))),
             (false, other) => other,
         };
         let asyncopt = wants_async.then(|| {
-            AsyncOpt::new(
-                self.config.opt_workers,
-                Arc::new(program.clone()),
-                predecoded.clone().expect("built above for async"),
-                self.config.backend == Backend::CachedFused,
-                self.tracer.clone(),
-            )
+            let compile = compiles_async.then(|| {
+                let shared = predecoded.clone().expect("built above for async");
+                (Arc::new(program.clone()), shared)
+            });
+            AsyncOpt::new(self.config.opt_workers, compile, self.tracer.clone())
         });
         let mut engine = Engine {
             config: &self.config,
@@ -381,7 +380,7 @@ impl<'p> Engine<'p> {
             let next = match region_idx {
                 Some(ri) => {
                     self.maybe_reform(ri, pc);
-                    // Trace-compiled fast path (cached-fused backend):
+                    // Trace-compiled fast path (cached backend):
                     // snapshot the trace *after* any reform so it
                     // matches the region's current shape. Continuous
                     // mode stays on per-block execution — it must
@@ -653,8 +652,8 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Region execution over a [`CompiledTrace`] (cached-fused
-    /// backend): segments run straight-line with their pre-resolved
+    /// Region execution over a [`CompiledTrace`] (cached backend):
+    /// segments run straight-line with their pre-resolved
     /// guards; only [`crate::trace::Guard::Other`] terminators (call /
     /// return / switch / halt) fall back to the generic
     /// terminator-and-outcome path, which keeps engine bookkeeping
@@ -785,8 +784,8 @@ impl<'p> Engine<'p> {
             let id = replacement.dump.id;
             self.regions[ri] = replacement;
             // Re-formation replaces the region's optimized code: the
-            // backend re-chains (and, when fusing, re-traces) the new
-            // copy list in one atomic publication.
+            // backend re-chains and re-traces the new copy list in one
+            // atomic publication.
             self.backend.install_region(ri, &self.regions[ri].dump);
             // Re-formation invalidates any queued candidate built over
             // the old shape of these blocks.
@@ -937,8 +936,8 @@ impl<'p> Engine<'p> {
             self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
             // Formation installs the region's optimized code: the
             // backend resolves each copy to its decoded body once, so
-            // region execution chains block-to-successor directly
-            // (and, under cached-fused, compiles the region's trace).
+            // region execution chains block-to-successor directly, and
+            // compiles the region's trace.
             self.backend.install_region(id, &region.dump);
             self.regions.push(region);
         }
@@ -1107,10 +1106,10 @@ impl<'p> Engine<'p> {
             }
         }
         self.cache[seed].as_mut().expect("translated").entry_of = Some(id);
-        // The worker already compiled the copy chain (and, under
-        // cached-fused, the trace) against the shared decode cache;
-        // hand both to the backend so installation does no compile
-        // work on the execution thread.
+        // The worker already resolved the copy chain and compiled the
+        // trace against the shared decode cache; hand both to the
+        // backend so installation does no compile work on the
+        // execution thread.
         self.backend
             .install_region_compiled(id, &region.dump, out.chain, out.trace);
         self.regions.push(region);

@@ -46,12 +46,11 @@
 //! `Sd.IP` metric). See DESIGN.md §12.
 //!
 //! How translated code executes on the *host* is a separate axis,
-//! selected by [`Backend`]: reference interpretation (`interp`), a
-//! pre-decoded translation cache (`cached`), or the cache plus
-//! superinstruction fusion and trace-compiled regions (`cached-fused`,
-//! DESIGN.md §16). Backends never change observable results — output,
-//! stats, profiles, and intervals are bitwise identical across all
-//! three.
+//! selected by [`Backend`]: reference interpretation (`interp`) or a
+//! pre-decoded translation cache of fused superinstructions with
+//! trace-compiled regions (`cached`, the default, DESIGN.md §16).
+//! Backends never change observable results — output, stats,
+//! profiles, and intervals are bitwise identical across both.
 //!
 //! # Example
 //!

@@ -182,7 +182,7 @@ pub(crate) struct TraceSegment {
 /// An optimized region compiled into a straight-line superinstruction
 /// trace (one [`TraceSegment`] per region copy, entry first).
 ///
-/// Produced at region-install time by the `cached-fused` backend (and
+/// Produced at region-install time by the cached backend (and
 /// by async optimizer workers); executed by the engine's traced region
 /// loop. Opaque outside the crate — tests can observe shape through
 /// [`CompiledTrace::starts`].

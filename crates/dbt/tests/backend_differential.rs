@@ -1,11 +1,11 @@
 //! Differential harness for the execution backends.
 //!
-//! The correctness contract of the translation cache — and of
-//! superinstruction fusion and trace compilation on top of it — is
-//! *bitwise transparency*: for any guest program, mode, and threshold,
-//! the `cached` and `cached-fused` backends must produce exactly the
-//! architectural state, outputs, run statistics, and profile counters
-//! of the reference interpreter backend. These tests pin that contract
+//! The correctness contract of the translation cache — with its
+//! superinstruction fusion and trace compilation — is *bitwise
+//! transparency*: for any guest program, mode, and threshold, the
+//! `cached` backend must produce exactly the architectural state,
+//! outputs, run statistics, and profile counters of the reference
+//! interpreter backend. These tests pin that contract
 //! with generated programs (proptest) and with exact-boundary
 //! regressions at the freeze/reform events that drive
 //! translation-cache inserts, installs, and invalidations.
@@ -135,37 +135,35 @@ fn run_with(config: DbtConfig, backend: Backend, p: &Program, input: &[i64]) -> 
         .expect("generated programs are trap-free")
 }
 
-/// Full observable-result equality of every backend against the
+/// Full observable-result equality of the cached backend against the
 /// reference interpreter backend.
 fn assert_identical(config: DbtConfig, p: &Program, input: &[i64]) {
     let interp = run_with(config, Backend::Interp, p, input);
-    for backend in [Backend::Cached, Backend::CachedFused] {
-        let cached = run_with(config, backend, p, input);
-        let ctx = format!(
-            "{backend} vs interp, mode {:?} T={}",
-            config.mode, config.threshold
-        );
-        assert_eq!(interp.output, cached.output, "output diverged: {ctx}");
-        assert_eq!(interp.stats, cached.stats, "stats diverged: {ctx}");
-        assert_eq!(
-            interp.inip.blocks, cached.inip.blocks,
-            "profile counters diverged: {ctx}"
-        );
-        assert_eq!(
-            interp.inip.regions, cached.inip.regions,
-            "regions diverged: {ctx}"
-        );
-        assert_eq!(interp.inip.cycles, cached.inip.cycles, "cycles: {ctx}");
-        assert_eq!(
-            interp.inip.profiling_ops, cached.inip.profiling_ops,
-            "profiling ops: {ctx}"
-        );
-        assert_eq!(
-            interp.intervals, cached.intervals,
-            "interval snapshots diverged: {ctx}"
-        );
-    }
-    // And all are transparent against the raw interpreter.
+    let cached = run_with(config, Backend::Cached, p, input);
+    let ctx = format!(
+        "cached vs interp, mode {:?} T={}",
+        config.mode, config.threshold
+    );
+    assert_eq!(interp.output, cached.output, "output diverged: {ctx}");
+    assert_eq!(interp.stats, cached.stats, "stats diverged: {ctx}");
+    assert_eq!(
+        interp.inip.blocks, cached.inip.blocks,
+        "profile counters diverged: {ctx}"
+    );
+    assert_eq!(
+        interp.inip.regions, cached.inip.regions,
+        "regions diverged: {ctx}"
+    );
+    assert_eq!(interp.inip.cycles, cached.inip.cycles, "cycles: {ctx}");
+    assert_eq!(
+        interp.inip.profiling_ops, cached.inip.profiling_ops,
+        "profiling ops: {ctx}"
+    );
+    assert_eq!(
+        interp.intervals, cached.intervals,
+        "interval snapshots diverged: {ctx}"
+    );
+    // And both are transparent against the raw interpreter.
     let reference = tpdbt_vm::run_collect(p, input).expect("trap-free");
     assert_eq!(interp.output, reference, "translation transparency");
 }
@@ -344,37 +342,30 @@ fn registered_twice_freezes_at_exactly_2t_on_both_backends() {
 
 /// Boundary regression, both backends: continuous-mode re-formation
 /// replaces a chained region in place (the backend re-installs its
-/// chain) and adaptive-mode retirement invalidates it — and in both
-/// cases results stay identical across backends.
+/// chain and trace) and adaptive-mode retirement invalidates it — and
+/// in both cases results stay identical across backends.
 #[test]
 fn chained_regions_survive_reform_and_retirement_identically() {
     let p = phase_flip_program();
-    for backend in [Backend::Cached, Backend::CachedFused] {
-        // Continuous: regions re-form when the entry's use count
-        // doubles.
-        let cont_i = run_with(DbtConfig::continuous(1000), Backend::Interp, &p, &[]);
-        let cont_c = run_with(DbtConfig::continuous(1000), backend, &p, &[]);
-        assert!(
-            cont_c.stats.opt_invocations > cont_c.stats.regions_formed,
-            "{backend}: a reform must fire"
-        );
-        assert_eq!(cont_i.output, cont_c.output, "{backend}");
-        assert_eq!(cont_i.stats, cont_c.stats, "{backend}");
-        assert_eq!(cont_i.inip.blocks, cont_c.inip.blocks, "{backend}");
-        // Adaptive: the stale region is retired (its chain — and under
-        // cached-fused, its trace — evicted) and a fresh one forms;
-        // still bitwise-identical.
-        let ad_i = run_with(DbtConfig::adaptive(500), Backend::Interp, &p, &[]);
-        let ad_c = run_with(DbtConfig::adaptive(500), backend, &p, &[]);
-        assert!(
-            ad_c.stats.retirements > 0,
-            "{backend}: a retirement must fire"
-        );
-        assert_eq!(ad_i.output, ad_c.output, "{backend}");
-        assert_eq!(ad_i.stats, ad_c.stats, "{backend}");
-        assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks, "{backend}");
-        assert_eq!(ad_i.inip.regions, ad_c.inip.regions, "{backend}");
-    }
+    // Continuous: regions re-form when the entry's use count doubles.
+    let cont_i = run_with(DbtConfig::continuous(1000), Backend::Interp, &p, &[]);
+    let cont_c = run_with(DbtConfig::continuous(1000), Backend::Cached, &p, &[]);
+    assert!(
+        cont_c.stats.opt_invocations > cont_c.stats.regions_formed,
+        "a reform must fire"
+    );
+    assert_eq!(cont_i.output, cont_c.output);
+    assert_eq!(cont_i.stats, cont_c.stats);
+    assert_eq!(cont_i.inip.blocks, cont_c.inip.blocks);
+    // Adaptive: the stale region is retired (its chain and trace
+    // evicted) and a fresh one forms; still bitwise-identical.
+    let ad_i = run_with(DbtConfig::adaptive(500), Backend::Interp, &p, &[]);
+    let ad_c = run_with(DbtConfig::adaptive(500), Backend::Cached, &p, &[]);
+    assert!(ad_c.stats.retirements > 0, "a retirement must fire");
+    assert_eq!(ad_i.output, ad_c.output);
+    assert_eq!(ad_i.stats, ad_c.stats);
+    assert_eq!(ad_i.inip.blocks, ad_c.inip.blocks);
+    assert_eq!(ad_i.inip.regions, ad_c.inip.regions);
 }
 
 fn hot_loop(iters: i64) -> Program {

@@ -1,6 +1,6 @@
-//! Regression suite for trace-compiled regions (`--backend
-//! cached-fused`): a reform or retirement mid-run must never leave a
-//! stale trace installed — in sync *and* async optimization modes.
+//! Regression suite for trace-compiled regions (the `cached` backend):
+//! a reform or retirement mid-run must never leave a stale trace
+//! installed — in sync *and* async optimization modes.
 //!
 //! The hazard: a region's chain and its compiled trace are two views
 //! of the same copy list. If retirement cleared the chain but not the
@@ -53,7 +53,7 @@ fn loop_dump(copies: Vec<usize>) -> RegionDump {
 #[test]
 fn retirement_clears_trace_and_chain_in_one_publication() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     for pc in [0, 1] {
         backend.on_translate(&p, &decode_block(&p, pc).unwrap());
     }
@@ -80,7 +80,7 @@ fn retirement_clears_trace_and_chain_in_one_publication() {
 #[test]
 fn reform_swaps_chain_and_trace_atomically() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     for pc in [0, 1] {
         backend.on_translate(&p, &decode_block(&p, pc).unwrap());
     }
@@ -120,7 +120,7 @@ fn phase_flip_program() -> Program {
 }
 
 /// End to end, sync: adaptive retirement fires mid-run under the
-/// fused backend and every observable stays bitwise identical to the
+/// cached backend and every observable stays bitwise identical to the
 /// interpreter backend. A stale trace executing after its region
 /// retired would diverge here (wrong dispatch, wrong stats).
 #[test]
@@ -130,7 +130,7 @@ fn sync_retirement_mid_run_stays_bitwise_identical() {
     let interp = Dbt::new(cfg.with_backend(Backend::Interp))
         .run(&p, &[])
         .unwrap();
-    let fused = Dbt::new(cfg.with_backend(Backend::CachedFused))
+    let fused = Dbt::new(cfg.with_backend(Backend::Cached))
         .run(&p, &[])
         .unwrap();
     assert!(
@@ -153,7 +153,7 @@ fn sync_reform_mid_run_stays_bitwise_identical() {
     let interp = Dbt::new(cfg.with_backend(Backend::Interp))
         .run(&p, &[])
         .unwrap();
-    let fused = Dbt::new(cfg.with_backend(Backend::CachedFused))
+    let fused = Dbt::new(cfg.with_backend(Backend::Cached))
         .run(&p, &[])
         .unwrap();
     assert!(
@@ -174,7 +174,7 @@ fn async_retirement_mid_run_stays_output_transparent() {
     let reference = tpdbt_vm::run_collect(&p, &[]).unwrap();
     let cfg = DbtConfig::adaptive(500)
         .with_opt_mode(OptMode::Async)
-        .with_backend(Backend::CachedFused);
+        .with_backend(Backend::Cached);
     let out = Dbt::new(cfg).run(&p, &[]).unwrap();
     assert_eq!(out.output, reference, "stale trace diverged guest output");
     assert_eq!(
@@ -207,7 +207,7 @@ fn async_installs_worker_compiled_traces() {
     let cfg = DbtConfig::two_phase(100)
         .with_policy(policy)
         .with_opt_mode(OptMode::Async)
-        .with_backend(Backend::CachedFused);
+        .with_backend(Backend::Cached);
     let out = Dbt::new(cfg).run(&p, &[]).unwrap();
     assert_eq!(out.output, reference);
     assert!(
@@ -223,7 +223,7 @@ fn async_installs_worker_compiled_traces() {
 #[test]
 fn retire_then_reinstall_produces_a_fresh_trace() {
     let p = loop_program();
-    let mut backend = CachedBackend::new_fused(p.len(), None);
+    let mut backend = CachedBackend::new(p.len(), None);
     backend.retire_region(7); // never installed: must not panic
     assert!(backend.region_trace(7).is_none());
     for pc in [0, 1] {

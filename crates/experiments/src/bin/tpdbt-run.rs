@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tpdbt-run FILE [--mode interp|noopt|twophase|continuous|adaptive]
-//!                [--backend interp|cached|cached-fused] [--opt-mode sync|async]
+//!                [--backend interp|cached] [--opt-mode sync|async]
 //!                [--threshold T]... [--input N,N,...] [--input-file PATH]
 //!                [--dump PATH] [--stats] [--suite BENCH --scale S]
 //!                [--jobs N] [--cache-dir DIR]
@@ -23,12 +23,10 @@
 //! file (use `--emit PATH` to write it out as a `.tpdb` binary first).
 //!
 //! `--backend` picks how translated guest code executes: `cached` (the
-//! default) runs pre-decoded micro-op buffers with direct
-//! block-to-successor chaining in regions; `interp` re-decodes each
-//! instruction on every execution; `cached-fused` re-encodes region
-//! bodies as superinstructions and compiles each region to a
-//! straight-line guarded trace. Results are bitwise identical — only
-//! host-side speed differs. (Distinct from `--mode interp`, which
+//! default) runs pre-decoded bodies fused into superinstructions and
+//! compiles each region to a straight-line guarded trace; `interp`
+//! re-decodes each instruction on every execution. Results are bitwise
+//! identical — only host-side speed differs. (Distinct from `--mode interp`, which
 //! bypasses the translator entirely.)
 //!
 //! `--opt-mode async` moves the optimization phase onto background
@@ -62,7 +60,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: tpdbt-run FILE|--suite BENCH [--scale tiny|small|paper]\n\
          \u{20}                [--mode interp|noopt|twophase|continuous|adaptive]\n\
-         \u{20}                [--backend interp|cached|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached] [--opt-mode sync|async]\n\
          \u{20}                [--threshold T]... [--input N,N,...] [--input-file PATH]\n\
          \u{20}                [--dump PATH] [--emit PATH] [--stats] [--list]\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]
-//!           [--backend interp|cached|cached-fused] [--opt-mode sync|async]
+//!           [--backend interp|cached] [--opt-mode sync|async]
 //!           [--cache-dir DIR] [--fleet-seed DIR]
 //!           [--trace PATH [--trace-format jsonl|chrome]]
 //!           [--max-retries N] [--fail-fast] [--watchdog-fuel N]
@@ -15,10 +15,9 @@
 //! to stdout; with `--out DIR`, each table is also written as CSV.
 //! `--jobs N` fans the sweep out over a worker pool; `--backend`
 //! selects the guest execution backend (default `cached`, the
-//! pre-decoded translation cache; `interp` is the reference
-//! interpreter; `cached-fused` adds superinstruction fusion and
-//! trace-compiled regions — all three produce bitwise-identical
-//! figures);
+//! pre-decoded translation cache of fused superinstructions with
+//! trace-compiled regions; `interp` is the reference interpreter —
+//! both produce bitwise-identical figures);
 //! `--opt-mode` selects optimization scheduling (default `sync`, which
 //! reproduces every figure byte-for-byte; `async` forms regions on
 //! background threads — guest outputs are identical but profiles
@@ -55,7 +54,7 @@ use tpdbt_trace::{TraceFormat, Tracer};
 fn usage() -> ! {
     eprintln!(
         "usage: reproduce [--scale tiny|small|paper] [--out DIR] [--jobs N]\n\
-         \u{20}                [--backend interp|cached|cached-fused] [--opt-mode sync|async]\n\
+         \u{20}                [--backend interp|cached] [--opt-mode sync|async]\n\
          \u{20}                [--cache-dir DIR] [--bench NAME]...\n\
          \u{20}                [--trace PATH [--trace-format jsonl|chrome]]\n\
          \u{20}                [--max-retries N] [--fail-fast] [--watchdog-fuel N]\n\

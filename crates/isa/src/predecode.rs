@@ -1108,24 +1108,14 @@ impl DecodedBlock {
     /// the 1:1 loop is the faster representation for it. Idempotent on
     /// already-fused blocks.
     #[must_use]
-    pub fn fused(&self) -> DecodedBlock {
-        let body = match &self.body {
-            BlockBody::Flat(ops) => {
-                let fused = fuse_ops(ops);
-                if fused.len() < ops.len() {
-                    BlockBody::Fused(fused)
-                } else {
-                    BlockBody::Flat(ops.clone())
-                }
+    pub fn fused(mut self) -> DecodedBlock {
+        if let BlockBody::Flat(ops) = &self.body {
+            let fused = fuse_ops(ops);
+            if fused.len() < ops.len() {
+                self.body = BlockBody::Fused(fused);
             }
-            fused @ BlockBody::Fused(_) => fused.clone(),
-        };
-        DecodedBlock {
-            start: self.start,
-            end: self.end,
-            body,
-            term: self.term.clone(),
         }
+        self
     }
 
     /// Discovers and decodes the block at `pc` in one call. `None` when
@@ -1155,13 +1145,15 @@ impl DecodedBlock {
     }
 }
 
-/// A lazily-populated, thread-safe cache of [`DecodedBlock`]s for one
-/// program, indexed by block start address.
+/// A lazily-populated, thread-safe cache of fused [`DecodedBlock`]s
+/// for one program, indexed by block start address.
 ///
-/// Decoding happens at most once per address across all threads and
-/// runs sharing the same `PredecodedProgram` (ladder cells in a sweep,
-/// concurrent serve queries), which is what makes the decode cost a
-/// per-*guest* cost instead of a per-*run* cost.
+/// Decoding and fusion ([`DecodedBlock::fused`]) happen at most once
+/// per address across all threads and runs sharing the same
+/// `PredecodedProgram` (ladder cells in a sweep, concurrent serve
+/// queries), which is what makes the translation cost a per-*guest*
+/// cost instead of a per-*run* cost: every run hands out the same
+/// `Arc` for a block.
 ///
 /// The cache stores no reference to the program; callers pass the same
 /// [`Program`] it was created for to [`PredecodedProgram::block`].
@@ -1192,16 +1184,16 @@ impl PredecodedProgram {
         self.slots.is_empty()
     }
 
-    /// The block starting at `pc`, decoding it on first access. `None`
-    /// when `pc` is out of range.
+    /// The fused block starting at `pc`, decoding and fusing it on
+    /// first access. `None` when `pc` is out of range.
     #[must_use]
     pub fn block(&self, program: &Program, pc: Pc) -> Option<Arc<DecodedBlock>> {
         let slot = self.slots.get(pc)?;
         if let Some(cached) = slot.get() {
             return Some(Arc::clone(cached));
         }
-        let decoded = Arc::new(DecodedBlock::decode(program, pc)?);
-        // Racing initialisers decode identical blocks; first write wins.
+        let decoded = Arc::new(DecodedBlock::decode(program, pc)?.fused());
+        // Racing initialisers build identical blocks; first write wins.
         let _ = slot.set(decoded);
         slot.get().map(Arc::clone)
     }
@@ -1299,6 +1291,21 @@ mod tests {
         assert_eq!(tail.start, 1);
         assert_eq!(cache.decoded_count(), 2);
         assert!(cache.block(&p, 99).is_none());
+    }
+
+    #[test]
+    fn predecoded_program_hands_out_fused_bodies() {
+        let mut b = ProgramBuilder::new();
+        b.addi(Reg::new(0), Reg::new(0), 1);
+        b.addi(Reg::new(1), Reg::new(1), 2);
+        b.halt();
+        let p = b.build().unwrap();
+        let cache = PredecodedProgram::new(&p);
+        let shared = cache.block(&p, 0).unwrap();
+        assert!(matches!(shared.body, BlockBody::Fused(_)));
+        assert_eq!(*shared, DecodedBlock::decode(&p, 0).unwrap().fused());
+        // Later runs get the very same fused body, not a re-fused copy.
+        assert!(Arc::ptr_eq(&shared, &cache.block(&p, 0).unwrap()));
     }
 
     fn movi(dst: u8, imm: i64) -> MicroOp {
@@ -1427,13 +1434,13 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         let d = DecodedBlock::decode(&p, 0).unwrap();
-        let f = d.fused();
+        let f = d.clone().fused();
         assert_eq!((f.start, f.end, &f.term), (d.start, d.end, &d.term));
         assert!(matches!(f.body, BlockBody::Fused(_)));
         assert_eq!(f.body.instr_count(), d.body.instr_count());
         assert_eq!(f.body.flat_ops(), d.body.flat_ops());
         // Idempotent.
-        assert_eq!(f.fused(), f);
+        assert_eq!(f.clone().fused(), f);
         // A body with no specialized window keeps the flat
         // representation: the 1:1 loop is the faster form for it.
         let plain = sample();

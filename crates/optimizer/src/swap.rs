@@ -10,13 +10,20 @@
 //! rather than an `AtomicPtr`; the critical section is a single pointer
 //! clone/store, which is uncontended in practice (one execution thread,
 //! occasional installs).
+//!
+//! A panic under the lock cannot tear the slot — it always holds one
+//! whole `Arc` — so a poisoned lock is recovered, not propagated: the
+//! current contents stay published and the recovery is counted in
+//! [`SwapCell::poisoned`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A publication slot holding an `Arc<T>` that is replaced, never
 /// mutated in place.
 pub struct SwapCell<T> {
     slot: Mutex<Arc<T>>,
+    poisoned: AtomicU64,
 }
 
 impl<T> SwapCell<T> {
@@ -29,6 +36,7 @@ impl<T> SwapCell<T> {
     pub fn from_arc(value: Arc<T>) -> Self {
         SwapCell {
             slot: Mutex::new(value),
+            poisoned: AtomicU64::new(0),
         }
     }
 
@@ -36,29 +44,32 @@ impl<T> SwapCell<T> {
     /// (and immutable) regardless of later [`SwapCell::store`]s.
     #[must_use]
     pub fn load(&self) -> Arc<T> {
-        self.slot.lock().expect("swap cell poisoned").clone()
+        self.lock().clone()
     }
 
     /// Publish `next`, replacing the current contents.
     pub fn store(&self, next: Arc<T>) {
-        *self.slot.lock().expect("swap cell poisoned") = next;
+        *self.lock() = next;
     }
 
-    /// Publish `next` and return what it replaced.
-    pub fn swap(&self, next: Arc<T>) -> Arc<T> {
-        std::mem::replace(&mut *self.slot.lock().expect("swap cell poisoned"), next)
+    /// How many times a poisoned lock was recovered.
+    #[must_use]
+    pub fn poisoned(&self) -> u64 {
+        self.poisoned.load(Ordering::Relaxed)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Arc<T>> {
+        self.slot.lock().unwrap_or_else(|poisoned| {
+            self.poisoned.fetch_add(1, Ordering::Relaxed);
+            self.slot.clear_poison();
+            poisoned.into_inner()
+        })
     }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for SwapCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("SwapCell").field(&self.load()).finish()
-    }
-}
-
-impl<T: Default> Default for SwapCell<T> {
-    fn default() -> Self {
-        SwapCell::new(T::default())
     }
 }
 
@@ -76,11 +87,18 @@ mod tests {
     }
 
     #[test]
-    fn swap_returns_previous() {
-        let cell = SwapCell::new(7u64);
-        let prev = cell.swap(Arc::new(9));
-        assert_eq!(*prev, 7);
-        assert_eq!(*cell.load(), 9);
+    fn poisoned_lock_recovers_and_counts() {
+        let cell = SwapCell::new(3u32);
+        let _ = std::panic::catch_unwind(|| {
+            let _held = cell.slot.lock().unwrap();
+            panic!("holder panics under the swap-cell lock");
+        });
+        assert!(cell.slot.is_poisoned());
+        assert_eq!(*cell.load(), 3, "contents survive the panic");
+        assert_eq!(cell.poisoned(), 1);
+        cell.store(Arc::new(4));
+        assert_eq!(*cell.load(), 4);
+        assert_eq!(cell.poisoned(), 1, "recovery cleared the poison");
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! without a tracer attached pays one branch per site — and with the
 //! `tpdbt-dbt` crate's `trace` feature disabled the sites compile out
 //! entirely.
+//!
+//! A panic under the ring lock (say, in an emitting thread) must not
+//! take tracing down with it: the lock is recovered with the ring kept
+//! — at worst the interrupted event is counted but not retained — and
+//! the recovery is counted in [`Tracer::poisoned`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::event::{Event, EventKind};
@@ -38,6 +43,7 @@ struct Ring {
     head: usize,
     dropped: u64,
     counts: BTreeMap<&'static str, u64>,
+    poisoned: u64,
 }
 
 /// A thread-safe structured-event collector.
@@ -79,7 +85,7 @@ impl Tracer {
     /// was created and the emitting thread's dense id.
     pub fn emit(&self, kind: EventKind) {
         let tid = thread_tid();
-        let mut ring = self.ring.lock().expect("tracer ring poisoned");
+        let mut ring = self.lock();
         // Stamped under the lock so retained order and timestamps agree.
         let event = Event {
             t_us: u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -100,7 +106,7 @@ impl Tracer {
     /// Snapshot of the retained events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let ring = self.ring.lock().expect("tracer ring poisoned");
+        let ring = self.lock();
         let mut out = Vec::with_capacity(ring.events.len());
         out.extend_from_slice(&ring.events[ring.head..]);
         out.extend_from_slice(&ring.events[..ring.head]);
@@ -111,33 +117,48 @@ impl Tracer {
     /// that fell off the ring), in name order.
     #[must_use]
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        let ring = self.ring.lock().expect("tracer ring poisoned");
+        let ring = self.lock();
         ring.counts.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// The exact total of events named `name` (see [`EventKind::name`]).
     #[must_use]
     pub fn count(&self, name: &str) -> u64 {
-        let ring = self.ring.lock().expect("tracer ring poisoned");
+        let ring = self.lock();
         ring.counts.get(name).copied().unwrap_or(0)
     }
 
     /// Events evicted from the ring because it was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.ring.lock().expect("tracer ring poisoned").dropped
+        self.lock().dropped
     }
 
     /// Number of currently retained events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("tracer ring poisoned").events.len()
+        self.lock().events.len()
     }
 
     /// Whether no event has been retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// How many times a poisoned ring lock was recovered.
+    #[must_use]
+    pub fn poisoned(&self) -> u64 {
+        self.lock().poisoned
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(|poisoned| {
+            let mut ring = poisoned.into_inner();
+            ring.poisoned += 1;
+            self.ring.clear_poison();
+            ring
+        })
     }
 }
 
@@ -166,6 +187,22 @@ mod tests {
         assert_eq!(events, [0, 1, 2, 3, 4]);
         assert_eq!(t.dropped(), 0);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_and_counts() {
+        let t = Tracer::with_capacity(4);
+        t.emit(bump(0, 1));
+        let _ = std::panic::catch_unwind(|| {
+            let _held = t.ring.lock().unwrap();
+            panic!("emitter panics under the ring lock");
+        });
+        assert!(t.ring.is_poisoned());
+        t.emit(bump(1, 2));
+        assert_eq!(t.len(), 2, "events from before the panic are kept");
+        assert_eq!(t.count("counter_bump"), 2);
+        assert_eq!(t.poisoned(), 1);
+        assert!(!t.ring.is_poisoned());
     }
 
     #[test]

@@ -443,7 +443,7 @@ mod tests {
         let replay_flow = exec_term(block.term.view(), block.term_pc(), &mut by_replay).unwrap();
 
         // The fused representation of the same block is indistinguishable.
-        let fused = block.fused();
+        let fused = block.clone().fused();
         exec_body(&fused.body, fused.start, &mut by_fused).unwrap();
         by_fused.set_pc(fused.term_pc());
         let fused_flow = exec_term(fused.term.view(), fused.term_pc(), &mut by_fused).unwrap();

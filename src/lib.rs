@@ -49,10 +49,10 @@
 
 pub use tpdbt_dbt as dbt;
 /// Execution-backend selection, re-exported at the root: pick
-/// [`Backend::Interp`] (reference interpreter), [`Backend::Cached`]
-/// (pre-decoded translation cache, the default), or
-/// [`Backend::CachedFused`] (superinstruction fusion plus
-/// trace-compiled regions) via [`dbt::DbtConfig::with_backend`].
+/// [`Backend::Interp`] (reference interpreter) or [`Backend::Cached`]
+/// (pre-decoded translation cache of fused superinstructions with
+/// trace-compiled regions, the default) via
+/// [`dbt::DbtConfig::with_backend`].
 /// Backends are bitwise result-identical; only host-side speed
 /// differs.
 pub use tpdbt_dbt::Backend;
